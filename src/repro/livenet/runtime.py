@@ -31,7 +31,6 @@ from .drivers import (
     AsyncCompressionDriver,
     AsyncParallelStreamsDriver,
     AsyncTcpBlockDriver,
-    AsyncTlsDriver,
 )
 from .mux import AsyncMuxEndpoint
 from .registry import LiveRegistryClient
@@ -60,23 +59,29 @@ async def _read_frame(stream) -> bytes:
     return await stream.recv_exactly(int.from_bytes(header, "big"))
 
 
-def _typed_spec(spec) -> StackSpec:
+def _live_spec(spec) -> StackSpec:
+    """Type-check ``spec`` and reject the layers LiveIbis cannot run."""
     if not isinstance(spec, StackSpec):
         raise TypeError(
             f"expected StackSpec, got {type(spec).__name__}; the string form "
             f"is wire-only — use StackSpec.parse(...)"
         )
-    return spec
-
-
-def _build_stack(spec, socks: list, tls_config=None):
-    """Assemble async drivers from a stack spec (subset of the sim specs)."""
-    parsed = _typed_spec(spec)
-    if parsed.session is not None:
+    if spec.session is not None:
         raise LiveIbisError(
             "survivable sessions are simulator-only; the live backend "
             "cannot wrap its sockets in a session layer yet"
         )
+    if any(layer.name == "tls" for layer in spec.filters):
+        raise LiveIbisError(
+            "LiveIbis runs no TLS handshake; compose AsyncTlsDriver "
+            "over the live drivers directly instead"
+        )
+    return spec
+
+
+def _build_stack(spec, socks: list):
+    """Assemble async drivers from a stack spec (subset of the sim specs)."""
+    parsed = _live_spec(spec)
     bottom = parsed.bottom
     if bottom.name == "tcp_block":
         driver = AsyncTcpBlockDriver(socks[0])
@@ -87,8 +92,6 @@ def _build_stack(spec, socks: list, tls_config=None):
     for layer in reversed(parsed.filters):
         if layer.name in ("compress", "adaptive"):
             driver = AsyncCompressionDriver(driver, level=int(layer.get("level", 1)))
-        elif layer.name == "tls":
-            driver = AsyncTlsDriver(driver)
         else:
             raise LiveIbisError(
                 f"layer {layer.name!r} unsupported on the live backend"
@@ -183,7 +186,7 @@ class LiveIbis:
     ):
         self.name = name
         self.default_spec = (
-            StackSpec.tcp() if default_spec is None else _typed_spec(default_spec)
+            StackSpec.tcp() if default_spec is None else _live_spec(default_spec)
         )
         self.registry = LiveRegistryClient(registry_addr)
         self.relay = LiveRelayClient(name, relay_addr)
@@ -248,7 +251,7 @@ class LiveIbis:
 
     # -- connecting --------------------------------------------------------------
     async def _connect_port(self, port_name: str, spec):
-        parsed = self.default_spec if spec is None else _typed_spec(spec)
+        parsed = self.default_spec if spec is None else _live_spec(spec)
         owner, owner_info = await self.registry.lookup_port(port_name)
         ctx = obs.current() or obs.TraceContext.new()
         with obs.span(

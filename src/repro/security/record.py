@@ -37,10 +37,11 @@ class RecordCipher:
         self._mac_key = mac_key
         self.seq = 0
 
-    def _mac(self, seq: int, ciphertext: bytes) -> bytes:
-        return hmac.new(
-            self._mac_key, struct.pack("!Q", seq) + ciphertext, hashlib.sha256
-        ).digest()[:MAC_LEN]
+    def _mac(self, seq: int, ciphertext) -> bytes:
+        mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
+        mac.update(struct.pack("!Q", seq))
+        mac.update(ciphertext)
+        return mac.digest()[:MAC_LEN]
 
     def seal(self, plaintext: bytes) -> bytes:
         """Encrypt and authenticate one record."""
@@ -53,7 +54,8 @@ class RecordCipher:
         """Verify and decrypt one record; raises :class:`RecordError`."""
         if len(record) < MAC_LEN:
             raise RecordError("record shorter than its MAC")
-        ciphertext, mac = record[:-MAC_LEN], record[-MAC_LEN:]
+        view = memoryview(record)
+        ciphertext, mac = view[:-MAC_LEN], view[-MAC_LEN:]
         seq = self.seq
         expected = self._mac(seq, ciphertext)
         if not hmac.compare_digest(mac, expected):

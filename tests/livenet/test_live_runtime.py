@@ -8,7 +8,7 @@ import pytest
 from repro.core.utilization.spec import StackSpec
 from repro.livenet.registry import LiveRegistryClient, LiveRegistryServer
 from repro.livenet.relay import LiveRelayServer
-from repro.livenet.runtime import LiveIbis
+from repro.livenet.runtime import LiveIbis, LiveIbisError
 
 pytestmark = pytest.mark.livenet
 
@@ -122,6 +122,23 @@ class TestLiveIbis:
                     return type(exc).__name__
 
         assert live_run(main()) == "RegistryError"
+
+    def test_tls_layer_rejected_up_front(self, live_run):
+        """LiveIbis runs no TLS handshake, so a tls layer fails before any IO."""
+        tls = StackSpec.tcp().with_tls()
+        unreachable = ("127.0.0.1", 1)
+        with pytest.raises(LiveIbisError, match="TLS handshake"):
+            LiveIbis("n", unreachable, unreachable, default_spec=tls)
+
+        async def main():
+            # Never started: reaching the registry would fail differently.
+            node = LiveIbis("n", unreachable, unreachable)
+            out = node.create_send_port("out")
+            with pytest.raises(LiveIbisError, match="TLS handshake"):
+                await out.connect("in", spec=tls)
+            return out.channels
+
+        assert live_run(main()) == {}
 
     def test_muxed_stack_end_to_end(self, live_run):
         async def main():

@@ -9,6 +9,7 @@ from repro.security import (
     ClientHandshake,
     HandshakeError,
     Identity,
+    MAC_LEN,
     RecordCipher,
     RecordError,
     ServerHandshake,
@@ -95,6 +96,22 @@ class TestRecordLayer:
         _tx, rx = self._pair()
         with pytest.raises(RecordError, match="shorter"):
             rx.open(b"tiny")
+
+    def test_large_record_round_trip_and_tamper(self):
+        """A 64 KiB record takes the vector keystream; tampering still fails."""
+        tx, rx = self._pair()
+        payload = bytes(range(256)) * 256
+        first, second = tx.seal(payload), tx.seal(payload)
+        assert len(first) == len(payload) + MAC_LEN
+        assert rx.open(first) == payload
+        for index in (0, len(payload) // 2, len(payload) - 1, len(second) - 1):
+            tampered = bytearray(second)
+            tampered[index] ^= 0x01
+            with pytest.raises(RecordError, match="MAC"):
+                rx.open(bytes(tampered))
+        with pytest.raises(RecordError, match="MAC"):
+            rx.open(first)  # replayed under sequence number 1
+        assert rx.open(second) == payload
 
     def test_ciphertext_differs_from_plaintext(self):
         tx, _rx = self._pair()
