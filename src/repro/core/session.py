@@ -27,37 +27,15 @@ channel) never observes the fault — ``send_all``/``recv`` simply stall
 during recovery and the byte stream resumes exactly where it broke, so
 delivery stays byte-identical and FIFO.
 
-Wire format (all integers big-endian, on the established link)::
-
-    DATA      = u8(1) u32(len) bytes      # len <= MAX_CHUNK
-    ACK       = u8(2) u64(rx_off)         # cumulative delivered bytes
-    PING      = u8(3)
-    PONG      = u8(4) u64(rx_off)
-    FIN       = u8(5) u64(fin_off)        # sender finished at fin_off
-    FINACK    = u8(6) u64(fin_off)
-    RESUME    = u8(7) u64(sid) u64(rx_off) u8(fin?) u64(fin_off)
-    RESUME_OK = u8(8) u64(rx_off) u8(fin?) u64(fin_off)
-    RETUNE    = u8(9) u64(max_buffer)     # advisory replay-window resize
-
-``RESUME``/``RESUME_OK`` only ever appear as the first frame in each
-direction of a re-established link; everything else flows on an attached
-link.  A silent stall (a firewall eating packets without erroring — TCP
-retransmits forever in the simulator) is detected by the initiator-side
-watchdog: no inbound frame for ``dead_after`` seconds breaks the link
-deliberately and enters the same recovery path.
-
-Both roles send ``PING`` when their receive side has been idle for the
-heartbeat interval.  Beyond keeping the watchdog fed, the responder's
-pings double as middlebox keepalives: after a conntrack flush or NAT
-table expiry any *outbound* packet from inside the site re-creates the
-state entry, so a heartbeat from the quiet end often heals the stall at
-the transport level before the watchdog has to force a reconnect.
+The protocol itself (frames, offsets, replay window, FIN rules, the
+heartbeat decision) is the sans-IO :class:`~repro.core.session_proto.SessionCore`;
+this module is its simnet binding: generator processes that move bytes
+between the core and the raw link, and wake whoever waits.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Generator, Optional
 
 from .. import obs
@@ -66,6 +44,30 @@ from ..obs.flight import FlightRecorder
 from ..simnet.engine import with_timeout
 from .links import Link, transport_errors
 from .retry import RetryPolicy, retrying
+from .session_proto import (
+    ACTIVE,
+    CONTROL,
+    DEAD,
+    FAILED,
+    FIN,
+    FINISHED,
+    MAX_CHUNK,
+    NOTIFY,
+    RECOVERING,
+    RESUME_HDR,
+    RESUME_OK_HDR,
+    RESUME_POLICY,
+    RETUNE,
+    TRACE_SIZE,
+    WAKE_RX,
+    WAKE_WINDOW,
+    Decoder,
+    ReplayBuffer,
+    SessionConfig,
+    SessionCore,
+    SessionError,
+    off_frame,
+)
 
 __all__ = [
     "SessionLink",
@@ -76,108 +78,6 @@ __all__ = [
     "RESUME_POLICY",
     "MAX_CHUNK",
 ]
-
-F_DATA = 1
-F_ACK = 2
-F_PING = 3
-F_PONG = 4
-F_FIN = 5
-F_FINACK = 6
-F_RESUME = 7
-F_RESUME_OK = 8
-F_RETUNE = 9
-
-_DATA_HDR = struct.Struct("!BI")
-_OFF_HDR = struct.Struct("!BQ")
-_RESUME_HDR = struct.Struct("!BQQBQ")
-_RESUME_OK_HDR = struct.Struct("!BQBQ")
-
-#: largest payload per DATA frame (also the replay-retransmit chunk size)
-MAX_CHUNK = 32768
-
-#: backoff for re-running establishment after a mid-stream fault; total
-#: nominal delay ~15s so recovery outlives short outages but exhausts
-#: well inside a chaos run's drain window
-RESUME_POLICY = RetryPolicy(
-    max_attempts=6, base_delay=0.5, multiplier=2.0, max_delay=8.0, jitter=0.25
-)
-
-ACTIVE = "active"
-RECOVERING = "recovering"
-FINISHED = "finished"
-FAILED = "failed"
-
-
-class SessionError(Exception):
-    """Session protocol failure or unrecoverable session loss."""
-
-
-class _StaleLink(SessionError):
-    """Internal: the link generation changed while waiting to send."""
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Tuning knobs, settable from the spec layer (``session:ack=..,buf=..,hb=..``)."""
-
-    ack_every: int = 65536
-    max_buffer: int = 1 << 20
-    heartbeat: float = 2.0
-    dead_factor: float = 3.0
-    resume_timeout: float = 20.0
-
-    @property
-    def dead_after(self) -> float:
-        return self.heartbeat * self.dead_factor
-
-    @classmethod
-    def from_layer(cls, layer) -> "SessionConfig":
-        """Build from a ``session`` :class:`~repro.core.utilization.spec.LayerSpec`."""
-        if layer is None:
-            return cls()
-        return cls(
-            ack_every=int(layer.get("ack", cls.ack_every)),
-            max_buffer=int(layer.get("buf", cls.max_buffer)),
-            heartbeat=float(layer.get("hb", cls.heartbeat)),
-        )
-
-
-class ReplayBuffer:
-    """Unacknowledged sent bytes: a byte window [start, end) over the stream.
-
-    ``append`` extends the window as data is sent; ``ack(off)`` trims it
-    up to a cumulative delivered offset.  Stale (non-monotone) acks are
-    ignored; an ack beyond what was ever sent is a protocol violation.
-    """
-
-    def __init__(self) -> None:
-        self.start = 0
-        self._data = bytearray()
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self._data)
-
-    @property
-    def size(self) -> int:
-        return len(self._data)
-
-    def append(self, data: bytes) -> None:
-        self._data.extend(data)
-
-    def ack(self, off: int) -> int:
-        """Trim to cumulative offset ``off``; returns bytes released."""
-        if off < self.start:
-            return 0
-        if off > self.end:
-            raise SessionError(f"ack beyond sent data: {off} > {self.end}")
-        cut = off - self.start
-        del self._data[:cut]
-        self.start = off
-        return cut
-
-    def unacked(self) -> bytes:
-        return bytes(self._data)
 
 
 class _Mutex:
@@ -240,57 +140,46 @@ class SessionLink(Link):
         self.node = node
         self.flight = flight
         self._resume_ctx: Optional[TraceContext] = None
-        self.config = config or SessionConfig()
-        #: the peer's last advertised replay bound (RETUNE; informational)
-        self.peer_max_buffer = 0
         self.reconnects = 0
         self.replayed_bytes = 0
         self._reconnect = reconnect
         self._retry_policy = retry_policy or RESUME_POLICY
         self._sim = raw.sim
+        self._core = SessionCore(sid, config, now=self._sim.now)
         self._raw = raw
         self._gen = 0
-        self._state = ACTIVE
         self._failure: Optional[Exception] = None
         self._registry: Optional["SessionRegistry"] = None
-        # tx side
-        self._replay = ReplayBuffer()
-        self._tx_off = 0
-        self._tx_fin: Optional[int] = None
-        self._tx_fin_acked = False
         self._mutex = _Mutex(self._sim)
         self._window_waiters: list = []
-        # rx side
-        self._rx = bytearray()
-        self._rx_off = 0
-        self._rx_fin: Optional[int] = None
-        self._rx_finack_sent = False
-        self._last_ack_sent = 0
-        self._last_rx = self._sim.now
         self._rx_waiters: list = []
-        # coordination
         self._cond_waiters: list = []
-        self._flags = {"ack": False, "pong": False, "finack": False, "ping": False}
         self._control_ev = None
         self._transport = transport_errors()
-        obs.event(
-            "session.established",
-            ctx=ctx,
-            node=node or None,
-            sid=f"{sid:016x}",
-            role=role,
-            peer=peer,
-        )
-        self._note("session.established", ctx, sid=f"{sid:016x}", role=role)
+        self._record("session.established", ctx, {"role": role}, peer=peer)
         self._start_pump()
         self._sim.process(self._control_loop(), name=f"session-ctl-{sid:x}-{role[0]}")
         self._sim.process(
             self._heartbeat_loop(), name=f"session-hb-{sid:x}-{role[0]}"
         )
 
-    def _note(self, name: str, ctx: Optional[TraceContext], **attrs) -> None:
+    def _record(
+        self, name: str, ctx: Optional[TraceContext], note: dict, **attrs
+    ) -> None:
+        """An obs event carrying the session's labels, and its flight note."""
+        sid = f"{self.sid:016x}"
+        obs.event(
+            name, ctx=ctx, node=self.node or None, sid=sid, role=self.role, **attrs
+        )
         if self.flight is not None:
-            self.flight.note(name, ctx=ctx or self.ctx, **attrs)
+            self.flight.note(name, ctx=ctx or self.ctx, sid=sid, **note)
+
+    @staticmethod
+    def _abort(link: Link) -> None:
+        try:
+            link.abort()
+        except Exception:
+            pass
 
     # -- metadata ----------------------------------------------------------------
     @property
@@ -311,7 +200,16 @@ class SessionLink(Link):
 
     @property
     def state(self) -> str:
-        return self._state
+        return self._core.state
+
+    @property
+    def config(self) -> SessionConfig:
+        return self._core.config
+
+    @property
+    def peer_max_buffer(self) -> int:
+        """The peer's last advertised replay bound (RETUNE; informational)."""
+        return self._core.peer_max_buffer
 
     @property
     def raw(self) -> Link:
@@ -326,12 +224,12 @@ class SessionLink(Link):
         blocks are safely down and which must be retransmitted over
         surviving members when this session cannot be resumed.
         """
-        return self._replay.start
+        return self._core.replay.start
 
     @property
     def replay_occupancy(self) -> float:
         """Replay-buffer fill fraction in [0, 1] (the tuner's signal)."""
-        return min(1.0, self._replay.size / max(1, self.config.max_buffer))
+        return min(1.0, self._core.replay.size / max(1, self.config.max_buffer))
 
     def set_max_buffer(self, max_buffer: int) -> None:
         """Retune the replay-buffer bound mid-stream (tuner-driven).
@@ -348,9 +246,9 @@ class SessionLink(Link):
         old = self.config.max_buffer
         if max_buffer == old:
             return
-        self.config = replace(self.config, max_buffer=max_buffer)
+        self._core.config = replace(self.config, max_buffer=max_buffer)
         if max_buffer > old:
-            self._wake_window()
+            self._wake(self._window_waiters)
         obs.metrics().counter(
             "session.retunes_total", role=self.role).inc()
         obs.event(
@@ -361,123 +259,121 @@ class SessionLink(Link):
             old=old,
             new=max_buffer,
         )
-        if self._state == ACTIVE:
+        if self.state == ACTIVE:
             self._sim.process(
                 self._send_retune(max_buffer),
                 name=f"session-retune-{self.sid:x}",
             )
 
     def _send_retune(self, max_buffer: int) -> Generator:
-        gen = self._gen
-        try:
-            yield from self._locked_send(
-                gen, _OFF_HDR.pack(F_RETUNE, max_buffer)
-            )
-        except _StaleLink:
-            pass  # advisory only: not worth replaying across recovery
-        except self._transport as exc:
-            self._transport_broken(gen, exc)
+        # advisory only: not worth replaying across recovery
+        yield from self._send(off_frame(RETUNE, max_buffer))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        core = self._core
         return (
-            f"<SessionLink {self.sid:016x} {self.role} {self._state}"
-            f" tx={self._tx_off} rx={self._rx_off} over {self._raw!r}>"
+            f"<SessionLink {self.sid:016x} {self.role} {core.state}"
+            f" tx={core.tx_off} rx={core.rx_off} over {self._raw!r}>"
         )
 
     # -- Link interface ----------------------------------------------------------
     def send_all(self, data: bytes) -> Generator:
-        if self._tx_fin is not None:
+        core = self._core
+        if core.tx_fin is not None:
             raise SessionError("send on closed session")
         view = memoryview(bytes(data))
         offset = 0
         while offset < len(view):
             yield from self._await_active()
-            if self._replay.size >= self.config.max_buffer:
+            if core.window_full:
                 # backpressure: wait for acks to release replay space
-                ev = self._sim.event()
-                self._window_waiters.append(ev)
-                yield ev
+                yield from self._park(self._window_waiters)
                 continue
             chunk = bytes(view[offset : offset + MAX_CHUNK])
-            # into the replay buffer *before* the write: if the link dies
-            # mid-frame the bytes are retransmitted after resume
-            self._replay.append(chunk)
-            self._tx_off += len(chunk)
             offset += len(chunk)
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, _DATA_HDR.pack(F_DATA, len(chunk)) + chunk)
-            except _StaleLink:
-                pass  # recovery replays the chunk
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
+            # a chunk the link loses is replayed by recovery
+            yield from self._send(core.send(chunk))
 
     def recv(self, maxbytes: int) -> Generator:
+        core = self._core
         while True:
-            if self._rx:
-                take = bytes(self._rx[:maxbytes])
-                del self._rx[: len(take)]
-                return take
+            if core.rx:
+                return core.take(maxbytes)
             if self._failure is not None:
                 raise SessionError(f"session {self.sid:016x} failed") from self._failure
-            if self._rx_fin is not None and self._rx_off >= self._rx_fin:
+            if core.rx_done:
                 return b""
-            ev = self._sim.event()
-            self._rx_waiters.append(ev)
-            yield ev
+            yield from self._park(self._rx_waiters)
 
     def close(self) -> None:
         """Graceful close: FIN at the current offset, then linger until the
         peer has everything (FINACK) and has finished its own direction."""
-        if self._state in (FINISHED, FAILED) or self._tx_fin is not None:
+        if self.state in (FINISHED, FAILED) or not self._core.close():
             return
-        self._tx_fin = self._tx_off
         self._sim.process(self._closer(), name=f"session-close-{self.sid:x}-{self.role[0]}")
 
     def abort(self) -> None:
         self._fail(SessionError("session aborted"))
 
     # -- send-side plumbing ------------------------------------------------------
-    def _locked_send(self, gen: int, data: bytes) -> Generator:
+    def _send(self, data: bytes) -> Generator:
+        """Write ``data`` on the current link, serialized with other writers.
+
+        False if the link was replaced while waiting for the mutex or the
+        write broke it; recovery replays whatever mattered.
+        """
+        gen = self._gen
         yield from self._mutex.acquire()
         try:
             if gen != self._gen:
-                raise _StaleLink("link replaced while waiting to send")
+                return False
             yield from self._raw.send_all(data)
+            return True
+        except self._transport as exc:
+            failure = exc
         finally:
             self._mutex.release()
+        self._transport_broken(gen, failure)
+        return False
+
+    def _park(self, waiters: list) -> Generator:
+        ev = self._sim.event()
+        waiters.append(ev)
+        yield ev
 
     def _await_active(self) -> Generator:
-        while self._state == RECOVERING:
-            ev = self._sim.event()
-            self._cond_waiters.append(ev)
-            yield ev
-        if self._state == FAILED:
+        while self.state == RECOVERING:
+            yield from self._park(self._cond_waiters)
+        if self.state == FAILED:
             raise SessionError(f"session {self.sid:016x} failed") from self._failure
-        if self._state == FINISHED:
+        if self.state == FINISHED:
             raise SessionError("session closed")
 
-    def _wake_window(self) -> None:
-        waiters, self._window_waiters = self._window_waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def _wake_rx(self) -> None:
-        waiters, self._rx_waiters = self._rx_waiters, []
-        for ev in waiters:
+    @staticmethod
+    def _wake(waiters: list) -> None:
+        batch = waiters[:]
+        waiters.clear()
+        for ev in batch:
             ev.succeed()
 
     def _notify(self) -> None:
-        waiters, self._cond_waiters = self._cond_waiters, []
-        for ev in waiters:
-            ev.succeed()
+        self._wake(self._cond_waiters)
         self._poke_control()
+
+    def _apply(self, actions: int) -> None:
+        """Wake the waiters a core transition asked for, in core order."""
+        if actions & WAKE_RX:
+            self._wake(self._rx_waiters)
+        if actions & CONTROL:
+            self._poke_control()
+        if actions & WAKE_WINDOW:
+            self._wake(self._window_waiters)
+        if actions & NOTIFY:
+            self._notify()
 
     def _wait(self, cond) -> Generator:
         while not cond():
-            ev = self._sim.event()
-            self._cond_waiters.append(ev)
-            yield ev
+            yield from self._park(self._cond_waiters)
 
     # -- control channel ---------------------------------------------------------
     def _poke_control(self) -> None:
@@ -486,70 +382,35 @@ class SessionLink(Link):
             self._control_ev = None
             ev.succeed()
 
-    def _flag(self, name: str) -> None:
-        self._flags[name] = True
-        self._poke_control()
-
     def _control_loop(self) -> Generator:
+        core = self._core
         while True:
-            if self._state in (FINISHED, FAILED):
+            if core.state in (FINISHED, FAILED):
                 return
-            pending = self._state == ACTIVE and any(self._flags.values())
-            if not pending:
+            if not core.control_pending:
                 ev = self._sim.event()
                 self._control_ev = ev
                 yield ev
                 continue
-            frames = []
-            if self._flags["pong"]:
-                frames.append(_OFF_HDR.pack(F_PONG, self._rx_off))
-                self._last_ack_sent = self._rx_off
-                self._flags["pong"] = False
-                self._flags["ack"] = False
-            elif self._flags["ack"]:
-                frames.append(_OFF_HDR.pack(F_ACK, self._rx_off))
-                self._last_ack_sent = self._rx_off
-                self._flags["ack"] = False
-            if self._flags["ping"]:
-                frames.append(struct.pack("!B", F_PING))
-                self._flags["ping"] = False
-            sent_finack = False
-            if (
-                self._flags["finack"]
-                and self._rx_fin is not None
-                and self._rx_off >= self._rx_fin
-            ):
-                frames.append(_OFF_HDR.pack(F_FINACK, self._rx_fin))
-                self._flags["finack"] = False
-                sent_finack = True
-            if not frames:
-                continue
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, b"".join(frames))
-            except _StaleLink:
-                continue
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
-                continue
-            if sent_finack and not self._rx_finack_sent:
-                self._rx_finack_sent = True
-                self._notify()
+            frames, finack = core.control()
+            if frames and (yield from self._send(frames)) and finack:
+                self._apply(core.finack_written())
 
     def _heartbeat_loop(self) -> Generator:
         hb = self.config.heartbeat
         while True:
-            if self._state in (FINISHED, FAILED):
+            if self.state in (FINISHED, FAILED):
                 return
             yield self._sim.timeout(hb)
-            if self._state in (FINISHED, FAILED):
+            if self.state in (FINISHED, FAILED):
                 return
-            if self._state != ACTIVE:
+            if self.state != ACTIVE:
                 continue  # recovery paces itself
-            idle = self._sim.now - self._last_rx
-            if idle >= self.config.dead_after and self.role == self.INITIATOR:
+            actions = self._core.tick(self._sim.now, self.role == self.INITIATOR)
+            if actions & DEAD:
                 # silent stall: the transport never errored but the peer
                 # went quiet — break the link on purpose and recover
+                idle = self._sim.now - self._core.last_rx
                 gen = self._gen
                 obs.event(
                     "session.watchdog",
@@ -559,8 +420,8 @@ class SessionLink(Link):
                 self._transport_broken(
                     gen, SessionError(f"peer silent for {idle:.1f}s")
                 )
-            elif idle >= hb:
-                self._flag("ping")
+            else:
+                self._apply(actions)
 
     # -- inbound pump ------------------------------------------------------------
     def _start_pump(self) -> None:
@@ -570,147 +431,57 @@ class SessionLink(Link):
         )
 
     def _pump(self, raw: Link, gen: int) -> Generator:
+        core = self._core
+        decoder = Decoder()
         try:
             while True:
-                head = yield from raw.recv_exactly(1)
-                kind = head[0]
-                self._last_rx = self._sim.now
-                if kind == F_DATA:
-                    body = yield from raw.recv_exactly(_DATA_HDR.size - 1)
-                    (length,) = struct.unpack("!I", body)
-                    if length == 0 or length > MAX_CHUNK:
-                        raise SessionError(f"bad DATA length {length}")
-                    payload = yield from raw.recv_exactly(length)
-                    if gen != self._gen:
-                        return
-                    self._on_data(payload)
-                elif kind == F_RETUNE:
-                    body = yield from raw.recv_exactly(_OFF_HDR.size - 1)
-                    (peer_buf,) = struct.unpack("!Q", body)
-                    if gen != self._gen:
-                        return
-                    self.peer_max_buffer = peer_buf
-                elif kind in (F_ACK, F_PONG, F_FIN, F_FINACK):
-                    body = yield from raw.recv_exactly(_OFF_HDR.size - 1)
-                    (off,) = struct.unpack("!Q", body)
-                    if gen != self._gen:
-                        return
-                    if kind == F_ACK or kind == F_PONG:
-                        self._on_ack(off)
-                    elif kind == F_FIN:
-                        self._on_fin(off)
-                    else:
-                        self._on_finack(off)
-                elif kind == F_PING:
-                    if gen != self._gen:
-                        return
-                    self._flag("pong")
-                else:
-                    raise SessionError(f"unexpected frame type {kind}")
+                # one field per read: type byte, then header, then payload
+                data = yield from raw.recv_exactly(decoder.need())
+                frames = core.feed(decoder, data, self._sim.now)
+                if frames and gen != self._gen:
+                    return
+                for kind, value in frames:
+                    self._apply(core.handle(kind, value))
         except SessionError as exc:
-            if gen == self._gen and self._state not in (FINISHED, FAILED):
+            if gen == self._gen and self.state not in (FINISHED, FAILED):
                 self._fail(exc)  # protocol violation: not survivable
         except self._transport as exc:
-            if gen != self._gen or self._state in (FINISHED, FAILED):
+            if gen != self._gen or self.state in (FINISHED, FAILED):
                 return
-            if (
-                isinstance(exc, EOFError)
-                and self._tx_fin is not None
-                and self._tx_fin_acked
-                and self._rx_fin is not None
-                and self._rx_off >= self._rx_fin
-            ):
+            if isinstance(exc, EOFError) and core.tx_fin_acked and core.rx_done:
                 return  # normal teardown: the peer closed first
             self._transport_broken(gen, exc)
 
-    def _on_data(self, payload: bytes) -> None:
-        self._rx_off += len(payload)
-        if self._rx_fin is not None and self._rx_off > self._rx_fin:
-            raise SessionError("data past the peer's FIN offset")
-        self._rx.extend(payload)
-        self._wake_rx()
-        if self._rx_fin is not None and self._rx_off >= self._rx_fin:
-            self._flag("finack")
-        if self._rx_off - self._last_ack_sent >= self.config.ack_every:
-            self._flag("ack")
-
-    def _on_ack(self, off: int) -> None:
-        if self._replay.ack(off):
-            self._wake_window()
-
-    def _on_fin(self, off: int) -> None:
-        if off < self._rx_off:
-            raise SessionError(
-                f"peer FIN at {off} below delivered offset {self._rx_off}"
-            )
-        self._rx_fin = off
-        self._wake_rx()
-        if self._rx_off >= off:
-            self._flag("finack")
-        self._notify()
-
-    def _on_finack(self, off: int) -> None:
-        if self._tx_fin is not None and off == self._tx_fin:
-            self._replay.ack(off)
-            self._wake_window()
-            self._tx_fin_acked = True
-            self._notify()
-
     # -- failure & recovery ------------------------------------------------------
     def _transport_broken(self, gen: int, exc: BaseException) -> None:
-        if gen != self._gen or self._state != ACTIVE:
+        if gen != self._gen or not self._core.broken():
             return
-        self._state = RECOVERING
         self._gen += 1
-        obs.event(
-            "session.broken",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            at_tx=self._tx_off,
-            at_rx=self._rx_off,
+        self._record(
+            "session.broken", self.ctx, {"error": type(exc).__name__},
+            at_tx=self._core.tx_off, at_rx=self._core.rx_off,
             error=f"{type(exc).__name__}: {exc}",
         )
-        self._note(
-            "session.broken",
-            None,
-            sid=f"{self.sid:016x}",
-            error=type(exc).__name__,
-        )
-        try:
-            self._raw.abort()
-        except Exception:
-            pass
+        self._abort(self._raw)
         if self.role == self.INITIATOR:
             self._sim.process(self._recovery(), name=f"session-recover-{self.sid:x}")
         self._notify()
 
     def _fail(self, exc: Exception) -> None:
-        if self._state in (FINISHED, FAILED):
+        if self.state in (FINISHED, FAILED):
             return
-        self._state = FAILED
+        self._core.state = FAILED
         self._failure = exc
         self._gen += 1
-        try:
-            self._raw.abort()
-        except Exception:
-            pass
+        self._abort(self._raw)
         if self._registry is not None:
             self._registry.remove(self.sid)
-        obs.event(
-            "session.failed",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
+        self._record(
+            "session.failed", self.ctx, {"error": type(exc).__name__},
             error=f"{type(exc).__name__}: {exc}",
         )
-        self._note(
-            "session.failed", None, sid=f"{self.sid:016x}", error=type(exc).__name__
-        )
-        self._wake_rx()
-        self._wake_window()
+        self._wake(self._rx_waiters)
+        self._wake(self._window_waiters)
         self._notify()
 
     def _recovery(self) -> Generator:
@@ -734,7 +505,7 @@ class SessionLink(Link):
             )
 
             def attempt(_i: int) -> Generator:
-                if self._state != RECOVERING:
+                if self.state != RECOVERING:
                     raise _ResumeAborted("session no longer recovering")
                 raw = yield from self._reconnect(self)
                 try:
@@ -744,10 +515,7 @@ class SessionLink(Link):
                         self.config.resume_timeout,
                     )
                 except BaseException:
-                    try:
-                        raw.abort()
-                    except Exception:
-                        pass
+                    self._abort(raw)
                     raise
                 return None
 
@@ -779,116 +547,58 @@ class SessionLink(Link):
         reg = obs.metrics()
         reg.counter("session.reconnects_total", role=self.role).inc()
         reg.histogram("session.resume_seconds").observe(self._sim.now - started)
-        obs.event(
-            "session.resumed",
-            ctx=resume_ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            after=round(self._sim.now - started, 6),
-            reconnects=self.reconnects,
-        )
-        self._note(
-            "session.resumed", resume_ctx,
-            sid=f"{self.sid:016x}", reconnects=self.reconnects,
+        self._record(
+            "session.resumed", resume_ctx, {"reconnects": self.reconnects},
+            after=round(self._sim.now - started, 6), reconnects=self.reconnects,
         )
 
     def _resume_initiator(self, raw: Link) -> Generator:
-        fin = self._tx_fin
-        # RESUME carries the recovery's trace context as a fixed 24-byte
-        # trailer (all-zero = untraced) so the responder's records land in
-        # the same span tree as the initiator's resume span.
-        ctx = self._resume_ctx
-        yield from raw.send_all(
-            _RESUME_HDR.pack(
-                F_RESUME, self.sid, self._rx_off, 1 if fin is not None else 0, fin or 0
-            )
-            + (ctx.encode() if ctx is not None else b"\0" * TraceContext.WIRE_SIZE)
-        )
-        buf = yield from raw.recv_exactly(_RESUME_OK_HDR.size)
-        kind, peer_rx, fin_flag, fin_off = _RESUME_OK_HDR.unpack(buf)
-        if kind != F_RESUME_OK:
-            raise SessionError(f"expected RESUME_OK, got frame type {kind}")
-        self._note_peer_fin(fin_flag, fin_off)
+        # RESUME carries the recovery's trace context so the responder's
+        # records land in the same span tree as the initiator's resume span.
+        yield from raw.send_all(self._core.resume_frame(self._resume_ctx))
+        buf = yield from raw.recv_exactly(RESUME_OK_HDR.size)
+        peer_rx = self._core.on_resume_ok(buf)
         yield from self._complete_resume(raw, peer_rx)
 
     def _resume_responder(self, raw: Link) -> Generator:
-        buf = yield from raw.recv_exactly(_RESUME_HDR.size)
-        kind, sid, peer_rx, fin_flag, fin_off = _RESUME_HDR.unpack(buf)
-        if kind != F_RESUME or sid != self.sid:
-            raise SessionError(f"bad RESUME (type {kind}, sid {sid:016x})")
-        blob = yield from raw.recv_exactly(TraceContext.WIRE_SIZE)
-        rctx: Optional[TraceContext] = None
-        if any(blob):
-            try:
-                rctx = TraceContext.decode(blob).child()
-            except ValueError:
-                rctx = None
-        self._note_peer_fin(fin_flag, fin_off)
-        fin = self._tx_fin
-        yield from raw.send_all(
-            _RESUME_OK_HDR.pack(
-                F_RESUME_OK, self._rx_off, 1 if fin is not None else 0, fin or 0
-            )
-        )
+        buf = yield from raw.recv_exactly(RESUME_HDR.size)
+        buf += yield from raw.recv_exactly(TRACE_SIZE)
+        peer_rx, ctx = self._core.on_resume(buf)
+        rctx = ctx.child() if ctx is not None else None
+        yield from raw.send_all(self._core.resume_ok_frame())
         yield from self._complete_resume(raw, peer_rx)
         self.reconnects += 1
         obs.metrics().counter("session.reconnects_total", role=self.role).inc()
         # events only on this side: the invariant layer counts every ok
         # ``session.resume`` *span* against the initiator reconnect counter
-        obs.event(
-            "session.resumed",
-            ctx=rctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
+        self._record(
+            "session.resumed", rctx, {"reconnects": self.reconnects},
             reconnects=self.reconnects,
         )
-        self._note(
-            "session.resumed", rctx,
-            sid=f"{self.sid:016x}", reconnects=self.reconnects,
-        )
-
-    def _note_peer_fin(self, fin_flag: int, fin_off: int) -> None:
-        if not fin_flag:
-            return
-        if fin_off < self._rx_off:
-            raise SessionError(
-                f"peer FIN at {fin_off} below delivered offset {self._rx_off}"
-            )
-        self._rx_fin = fin_off
 
     def _complete_resume(self, raw: Link, peer_rx: int) -> Generator:
         """Trim the replay window to the peer's delivered offset, retransmit
         the rest (plus FIN, if we were closing) on the fresh link, then
         attach it.  Runs before anyone else can write to ``raw``, so
         replayed bytes keep their stream position."""
-        if self._replay.ack(peer_rx):
-            self._wake_window()
-        pending = self._replay.unacked()
-        for i in range(0, len(pending), MAX_CHUNK):
-            chunk = pending[i : i + MAX_CHUNK]
-            yield from raw.send_all(_DATA_HDR.pack(F_DATA, len(chunk)) + chunk)
-        if self._tx_fin is not None:
-            yield from raw.send_all(_OFF_HDR.pack(F_FIN, self._tx_fin))
-        if pending:
-            self.replayed_bytes += len(pending)
+        released, frames, replayed = self._core.replay_frames(peer_rx)
+        if released:
+            self._wake(self._window_waiters)
+        for frame in frames:
+            yield from raw.send_all(frame)
+        if replayed:
+            self.replayed_bytes += replayed
             obs.metrics().counter(
                 "session.replayed_bytes_total", role=self.role
-            ).inc(len(pending))
+            ).inc(replayed)
         self._attach(raw)
-        # let the peer trim its replay window even if no data flows soon
-        self._flag("ack")
-        if self._rx_fin is not None and self._rx_off >= self._rx_fin:
-            self._flag("finack")
 
     def _attach(self, raw: Link) -> None:
         self._raw = raw
         self._gen += 1
-        self._state = ACTIVE
-        self._last_rx = self._sim.now
+        self._core.attached(self._sim.now)
         self._start_pump()
-        self._wake_window()
+        self._wake(self._window_waiters)
         self._notify()
 
     def _reattach(self, raw: Link) -> Generator:
@@ -897,19 +607,16 @@ class SessionLink(Link):
         Tolerates a session that never noticed the fault (silent stall):
         the surviving link is deliberately broken first.
         """
-        if self._state in (FINISHED, FAILED):
-            raise SessionError(f"session {self.sid:016x} is {self._state}")
-        if self._state == ACTIVE:
+        if self.state in (FINISHED, FAILED):
+            raise SessionError(f"session {self.sid:016x} is {self.state}")
+        if self.state == ACTIVE:
             self._transport_broken(self._gen, SessionError("peer re-established"))
         try:
             yield from with_timeout(
                 self._sim, self._resume_responder(raw), self.config.resume_timeout
             )
         except BaseException as exc:
-            try:
-                raw.abort()
-            except Exception:
-                pass
+            self._abort(raw)
             obs.event(
                 "session.reattach_failed",
                 sid=f"{self.sid:016x}",
@@ -925,54 +632,28 @@ class SessionLink(Link):
                 yield from self._await_active()
             except SessionError:
                 return  # failed (or finished by a concurrent path)
-            gen = self._gen
-            try:
-                yield from self._locked_send(gen, _OFF_HDR.pack(F_FIN, self._tx_fin))
+            if (yield from self._send(off_frame(FIN, self._core.tx_fin))):
                 break
-            except _StaleLink:
-                continue
-            except self._transport as exc:
-                self._transport_broken(gen, exc)
-                continue
-        yield from self._wait(
-            lambda: self._state == FAILED
-            or (
-                self._tx_fin_acked
-                and self._rx_fin is not None
-                and self._rx_finack_sent
-            )
-        )
-        if self._state == FAILED:
+        yield from self._wait(lambda: self.state == FAILED or self._core.closed)
+        if self.state == FAILED:
             return
         self._finish()
 
     def _finish(self) -> None:
-        if self._state in (FINISHED, FAILED):
+        if self.state in (FINISHED, FAILED):
             return
-        self._state = FINISHED
+        self._core.state = FINISHED
         if self._registry is not None:
             self._registry.remove(self.sid)
-        obs.event(
-            "session.finished",
-            ctx=self.ctx,
-            node=self.node or None,
-            sid=f"{self.sid:016x}",
-            role=self.role,
-            tx=self._tx_off,
-            rx=self._rx_off,
-            reconnects=self.reconnects,
-        )
-        self._note(
-            "session.finished",
-            None,
-            sid=f"{self.sid:016x}",
-            reconnects=self.reconnects,
+        self._record(
+            "session.finished", self.ctx, {"reconnects": self.reconnects},
+            tx=self._core.tx_off, rx=self._core.rx_off, reconnects=self.reconnects,
         )
         try:
             self._raw.close()
         except Exception:
             pass
-        self._wake_rx()
+        self._wake(self._rx_waiters)
         self._notify()
 
 
@@ -1008,14 +689,8 @@ class SessionRegistry:
         if session.role == SessionLink.RESPONDER:
             self.ensure_acceptor()
 
-    def get(self, sid: int) -> Optional[SessionLink]:
-        return self._sessions.get(sid)
-
     def remove(self, sid: int) -> None:
         self._sessions.pop(sid, None)
-
-    def __len__(self) -> int:
-        return len(self._sessions)
 
     def __iter__(self):
         return iter(list(self._sessions.values()))

@@ -114,11 +114,7 @@ class AsyncParallelStreamsDriver(AsyncDriver):
         links: Optional[Sequence[LiveSocket]] = None,
         host=None,
         fragment: int = DEFAULT_FRAGMENT,
-        *,
-        socks: Optional[Sequence[LiveSocket]] = None,
     ):
-        if links is None:
-            links = socks
         if not links:
             raise ValueError("parallel driver needs at least one socket")
         self.links = list(links)
@@ -134,10 +130,6 @@ class AsyncParallelStreamsDriver(AsyncDriver):
         obs.metrics().gauge(
             "driver.streams", driver=self.name, backend="live"
         ).set(len(self.links))
-
-    @property
-    def socks(self) -> list:
-        return self.links
 
     @property
     def nstreams(self) -> int:

@@ -1,31 +1,25 @@
-"""Survivable sessions over real sockets: the live twin of SessionLink.
+"""Survivable sessions over real sockets: the asyncio binding.
 
-:class:`~repro.core.session.SessionLink` gives simulated channels a
-replay buffer, cumulative acks and transparent reconnect.  This module
-is the asyncio binding of the same contract for the live backend, so the
-chaos harness can prove resume polarity against genuine TCP faults (a
-proxy RST mid-stream) and not just simulated ones:
+The session protocol is :class:`~repro.core.session_proto.SessionCore`,
+the same sans-IO core the simulated :class:`~repro.core.session.SessionLink`
+drives, so both backends put the same frames on the wire
+(docs/PROTOCOLS.md, "Sessions").  This module only moves bytes and
+wakes waiters:
 
-* every payload byte is appended to a replay buffer before it touches
-  the wire; cumulative ``ACK`` frames from the peer trim it;
+* :meth:`AsyncSessionLink.connect` opens a new session with ``RESUME``
+  at offset 0 for a fresh session id; the :class:`AsyncSessionListener`
+  answers ``RESUME_OK`` and hands the session to :meth:`~AsyncSessionListener.accept`;
 * when the transport dies, the initiator redials (through whatever
-  gateway the harness interposed), renegotiates offsets with a
-  ``HELLO``/``HELLO_OK`` exchange, and replays the gap — the
-  application-visible byte stream continues exactly where it stopped;
-* the responder side parks until the initiator's reconnect arrives at
-  the :class:`AsyncSessionListener`, which routes it to the existing
-  session by id;
-* ``FIN`` carries the sender's final offset, and a graceful close waits
-  until the peer has acked every byte, so "the transfer completed" means
-  the bytes are *there*, not merely written.
-
-Wire format (own framing over the raw socket): ``u8 type, u32 len,
-body``.  ``HELLO`` carries the 16-byte session id plus the dialer's
-receive offset; ``HELLO_OK`` answers with the acceptor's receive offset;
-``DATA`` is ``u64 offset + payload``; ``ACK`` and ``FIN`` carry a single
-``u64`` offset.  Duplicate ``DATA`` (replay overlap) is deduplicated by
-offset; a forward gap is a protocol violation and kills the transport,
-which simply triggers another resume.
+  gateway the harness interposed, backing off under a
+  :class:`~repro.core.retry.RetryPolicy`), sends ``RESUME`` with its
+  delivered offset and replays the gap; the responder parks until the
+  listener routes the reconnect to it by session id;
+* :meth:`AsyncSessionLink.aclose` sends ``FIN`` and returns once the
+  peer has ``FINACK``-ed every byte.  The closed end keeps reading until
+  the peer's own ``FIN`` is ``FINACK``-ed or the link ends, so two ends
+  closing at once both finish;
+* one heartbeat timer per session sends ``PING`` on an idle link, and
+  the initiator's watchdog breaks a link that stays silent.
 
 Observability matches the sim layer: each successful resume records one
 ``session.resume`` span with ``outcome=ok`` and increments
@@ -37,58 +31,50 @@ report stats work unchanged on live runs.
 from __future__ import annotations
 
 import asyncio
-import struct
 import time
 from typing import Awaitable, Callable, Optional
 
 from .. import obs
+from ..core.retry import RetryPolicy
+from ..core.session_proto import (
+    ACTIVE,
+    DEAD,
+    FAILED,
+    FIN,
+    FINISHED,
+    MAX_CHUNK,
+    NOTIFY,
+    RECOVERING,
+    RESUME,
+    RESUME_HDR,
+    RESUME_OK_HDR,
+    RESUME_POLICY,
+    TRACE_SIZE,
+    WAKE_RX,
+    WAKE_WINDOW,
+    Decoder,
+    SessionCore,
+    SessionError,
+    decode_one,
+    off_frame,
+)
 from ..obs import fmt_id, next_id
 from .transport import LiveListener, LiveSocket
 
 __all__ = ["AsyncSessionLink", "AsyncSessionListener", "AsyncSessionError"]
 
-T_HELLO = 1
-T_HELLO_OK = 2
-T_DATA = 3
-T_ACK = 4
-T_FIN = 5
+#: one error type for both bindings
+AsyncSessionError = SessionError
 
-_HDR = struct.Struct("!BI")
-_U64 = struct.Struct("!Q")
-
-#: send a cumulative ACK at least this often (bytes of new payload)
-ACK_EVERY = 32 * 1024
-#: replay chunk granularity on resume
-REPLAY_CHUNK = 64 * 1024
-#: largest acceptable frame body (a DATA frame is never bigger than a
-#: replay chunk plus its offset header)
-MAX_FRAME = REPLAY_CHUNK + 64
-
-#: per-attempt handshake budget: a gateway silently black-holing the
-#: HELLO must time the attempt out, not hang the resume loop forever
+#: per-attempt budget for dialling and the RESUME/RESUME_OK exchange: a
+#: gateway silently black-holing the RESUME must time the attempt out,
+#: not hang the resume loop
 HANDSHAKE_TIMEOUT = 3.0
 
-#: graceful-close watchdog: if the cumulative ack makes no progress for
-#: this long, kill the transport to force a resume + replay (covers a
-#: black-holed FIN/ACK tail, which never trips the gap detector)
-ACK_STALL_TIMEOUT = 2.0
+#: bytes asked of the raw link per read; the decoder takes any split
+_READ_SIZE = 2 * MAX_CHUNK
 
-
-class AsyncSessionError(Exception):
-    """Session protocol failure (bad handshake, unrecoverable loss)."""
-
-
-async def _write_frame(sock: LiveSocket, kind: int, body: bytes) -> None:
-    await sock.send_all(_HDR.pack(kind, len(body)) + body)
-
-
-async def _read_frame(sock: LiveSocket) -> tuple:
-    header = await sock.recv_exactly(_HDR.size)
-    kind, length = _HDR.unpack(header)
-    if length > MAX_FRAME:
-        raise AsyncSessionError(f"oversized session frame ({length} bytes)")
-    body = await sock.recv_exactly(length) if length else b""
-    return kind, body
+_LINK_ERRORS = (EOFError, OSError, asyncio.TimeoutError)
 
 
 class AsyncSessionLink:
@@ -99,44 +85,35 @@ class AsyncSessionLink:
 
     def __init__(
         self,
-        session_id: bytes,
+        sid: int,
         role: str,
         node: str = "?",
         dial: Optional[Callable[[], Awaitable[LiveSocket]]] = None,
-        max_attempts: int = 8,
-        retry_delay: float = 0.05,
+        retry_policy: Optional[RetryPolicy] = None,
         ctx=None,
     ):
-        self.session_id = session_id
+        self.sid = sid
         self.role = role
         self.node = node
         self.reconnects = 0
         self.replayed_bytes = 0
-        self.state = "connecting"
         self._dial = dial
-        self._max_attempts = max_attempts
-        self._retry_delay = retry_delay
+        self._retry_policy = retry_policy or RESUME_POLICY
         self._ctx = ctx
-        self._sock: Optional[LiveSocket] = None
-        self._reader_task: Optional[asyncio.Task] = None
-        self._recover_task: Optional[asyncio.Task] = None
-        # send side: [base, sent) lives in the replay buffer until acked
-        self._sent = 0
-        self._base = 0
-        self._acked = 0
-        self._replay = bytearray()
-        self._fin_sent = False
-        self._final = 0
-        # receive side
-        self._recv = 0
-        self._buf = bytearray()
-        self._fin_at: Optional[int] = None
-        self._last_ack_sent = 0
-        # coordination
-        self._ready = asyncio.Event()
-        self._buf_event = asyncio.Event()
-        self._ack_event = asyncio.Event()
+        self._core = SessionCore(sid, now=time.monotonic())
+        self._sock = None
+        self._lock = asyncio.Lock()
+        self._changed = asyncio.Event()
+        self._tasks: set = set()
+        self._heartbeat_task: Optional[asyncio.Task] = None
+        self._failure = ""
+        #: the application is done with the session (aclose returned or
+        #: it was torn down); only the lingering reader may still run
         self._closed = False
+
+    @property
+    def state(self) -> str:
+        return self._core.state
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -147,183 +124,197 @@ class AsyncSessionLink:
         ctx=None,
         **kwargs,
     ) -> "AsyncSessionLink":
-        """Dial, perform the HELLO handshake, return a connected link."""
-        session_id = fmt_id(next_id()).encode("ascii")
+        """Dial, open the session with RESUME at offset 0, return it."""
         link = cls(
-            session_id, cls.INITIATOR, node=node, dial=dial,
+            next_id(), cls.INITIATOR, node=node, dial=dial,
             ctx=ctx or obs.current(), **kwargs,
         )
         sock = await dial()
-        await _write_frame(sock, T_HELLO, session_id + _U64.pack(0))
-        kind, body = await asyncio.wait_for(
-            _read_frame(sock), timeout=HANDSHAKE_TIMEOUT
-        )
-        if kind != T_HELLO_OK:
-            raise AsyncSessionError(f"expected HELLO_OK, got frame type {kind}")
-        link._attach(sock)
-        link._ready.set()
-        link.state = "connected"
+        try:
+            await link._open(sock, link._ctx)
+        except BaseException:
+            sock.close()
+            link._teardown()
+            raise
         obs.event(
             "session.established", ctx=link._ctx, node=node,
-            session=session_id.decode("ascii"), backend="live",
+            session=fmt_id(link.sid), backend="live",
         )
         return link
 
-    # -- socket plumbing ---------------------------------------------------
-    def _attach(self, sock: LiveSocket) -> None:
-        old_sock, old_reader = self._sock, self._reader_task
+    async def _open(self, sock: LiveSocket, ctx) -> int:
+        """Initiator: RESUME on a fresh link, then replay; bytes replayed."""
+        await sock.send_all(self._core.resume_frame(ctx))
+        reply = await asyncio.wait_for(
+            sock.recv_exactly(RESUME_OK_HDR.size), timeout=HANDSHAKE_TIMEOUT
+        )
+        return await self._attach(sock, self._core.on_resume_ok(reply))
+
+    async def _accept(self, sock: LiveSocket, resume: bytes) -> None:
+        """Responder: answer a RESUME with RESUME_OK, replay, adopt ``sock``."""
+        core = self._core
+        if self._closed or core.state in (FINISHED, FAILED):
+            raise AsyncSessionError(f"session {fmt_id(self.sid)} is {core.state}")
+        resumed = self._sock is not None
+        if resumed and core.state == ACTIVE:
+            # the initiator re-established a link we never saw die
+            self._broken(self._sock, AsyncSessionError("peer re-established"))
+        peer_rx, _ctx = core.on_resume(resume)
+        await sock.send_all(core.resume_ok_frame())
+        replayed = await self._attach(sock, peer_rx)
+        if resumed:
+            self._count_resume(replayed)
+            obs.event(
+                "session.attached", ctx=self._ctx, node=self.node,
+                session=fmt_id(self.sid), replayed=replayed, backend="live",
+            )
+
+    async def _attach(self, sock: LiveSocket, peer_rx: int) -> int:
+        """Replay what the peer is missing on ``sock``, then adopt it."""
+        core = self._core
+        _, frames, replayed = core.replay_frames(peer_rx)
+        for frame in frames:
+            await sock.send_all(frame)
+        resumed = self._sock is not None
         self._sock = sock
-        if old_reader is not None:
-            old_reader.cancel()
-        if old_sock is not None and old_sock is not sock:
-            old_sock.close()
-        self._reader_task = asyncio.ensure_future(self._read_loop(sock))
+        if resumed:
+            core.attached(time.monotonic())
+        else:
+            core.last_rx = time.monotonic()
+            self._heartbeat_task = self._spawn(self._heartbeat())
+        self._spawn(self._read(sock))
+        self._changed.set()
+        if core.control_pending:
+            await self._write(sock, b"")
+        return replayed
 
-    def _stream_done(self) -> bool:
-        sent_done = self._fin_sent and self._acked >= self._final
-        recv_done = self._fin_at is not None and self._recv >= self._fin_at
-        return sent_done or recv_done
+    # -- tasks ---------------------------------------------------------------
+    def _spawn(self, coro) -> asyncio.Task:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._reap)
+        return task
 
-    def _connection_lost(self) -> None:
-        if self._closed or self.state in ("finished", "failed"):
+    def _reap(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not task.cancelled():
+            task.exception()  # errors are reported through the session state
+
+    async def _read(self, sock: LiveSocket) -> None:
+        core = self._core
+        decoder = Decoder()
+        try:
+            while sock is self._sock and core.state == ACTIVE:
+                data = await sock.recv(_READ_SIZE)
+                if not data:
+                    raise EOFError("session link closed")
+                frames = core.feed(decoder, data, time.monotonic())
+                if sock is not self._sock:
+                    return
+                actions = 0
+                for kind, value in frames:
+                    actions |= core.handle(kind, value)
+                self._apply(actions)
+                if core.control_pending and not self._lock.locked():
+                    await self._write(sock, b"")
+        except SessionError as exc:
+            if sock is self._sock:
+                self._fail(f"protocol violation: {exc}")
+        except _LINK_ERRORS as exc:
+            self._broken(sock, exc)
+
+    async def _heartbeat(self) -> None:
+        core = self._core
+        while True:  # cancelled by aclose and teardown
+            await asyncio.sleep(core.config.heartbeat)
+            if core.state != ACTIVE:
+                continue
+            actions = core.tick(time.monotonic(), self.role == self.INITIATOR)
+            if actions & DEAD:
+                self._broken(self._sock, AsyncSessionError("peer went silent"))
+            elif actions and not self._lock.locked():
+                await self._write(self._sock, b"")
+
+    async def _write(self, sock: LiveSocket, frame: bytes) -> bool:
+        """Write ``frame``, then any pending control frames, on ``sock``.
+
+        A writer holding the lock flushes control frames queued while it
+        wrote, so the reader never waits behind a slow send.  False when
+        ``sock`` was replaced meanwhile (recovery replays what mattered)
+        or the write broke it.
+        """
+        core = self._core
+        async with self._lock:
+            if sock is not self._sock:
+                return False
+            try:
+                if frame:
+                    await sock.send_all(frame)
+                while core.control_pending:
+                    control, finack = core.control()
+                    await sock.send_all(control)
+                    if finack:
+                        self._apply(core.finack_written())
+            except _LINK_ERRORS as exc:
+                self._broken(sock, exc)
+                return False
+        return True
+
+    def _apply(self, actions: int) -> None:
+        if actions & (WAKE_RX | WAKE_WINDOW | NOTIFY):
+            self._changed.set()
+        if self._closed and self._core.closed:
+            self._teardown()  # the lingering end FINACKed the peer's FIN
+
+    async def _wait(self, cond) -> None:
+        while not cond():
+            self._changed.clear()
+            await self._changed.wait()
+
+    # -- failure and resume ------------------------------------------------
+    def _broken(self, sock, exc: BaseException) -> None:
+        if sock is not self._sock:
             return
-        if self._stream_done():
-            self.state = "finished"
-            self._wake_all()
+        if self._closed:
+            self._teardown()
             return
-        self._ready.clear()
-        self.state = "reconnecting"
+        if not self._core.broken():
+            return
+        sock.abort()
         if self.role == self.INITIATOR:
-            if self._recover_task is None or self._recover_task.done():
-                self._recover_task = asyncio.ensure_future(self._recover())
+            self._spawn(self._recover())
         # the responder parks: the listener attaches the reconnect
-
-    def _wake_all(self) -> None:
-        self._buf_event.set()
-        self._ack_event.set()
-        self._ready.set()
+        self._changed.set()
 
     def _fail(self, why: str) -> None:
-        self.state = "failed"
         self._failure = why
-        self._wake_all()
+        self._core.state = FAILED
+        self._teardown()
 
-    # -- reader ------------------------------------------------------------
-    async def _read_loop(self, sock: LiveSocket) -> None:
-        try:
-            while True:
-                kind, body = await _read_frame(sock)
-                if kind == T_DATA:
-                    await self._on_data(
-                        _U64.unpack(body[:8])[0], body[8:], sock
-                    )
-                elif kind == T_ACK:
-                    self._on_ack(_U64.unpack(body)[0])
-                elif kind == T_FIN:
-                    await self._on_fin(_U64.unpack(body)[0], sock)
-                elif kind == T_HELLO_OK:
-                    continue  # stale handshake residue; offsets rule
-                else:
-                    raise AsyncSessionError(f"unexpected frame type {kind}")
-        except asyncio.CancelledError:
-            return
-        except (EOFError, ConnectionError, OSError, AsyncSessionError):
-            pass
-        if sock is self._sock and not self._closed:
-            self._connection_lost()
-
-    async def _on_data(self, offset: int, payload: bytes, sock: LiveSocket) -> None:
-        if offset > self._recv:
-            # a forward gap can only mean a broken resume; kill the
-            # transport and let the resume machinery renegotiate
-            sock.abort()
-            return
-        skip = self._recv - offset
-        if skip >= len(payload):
-            return  # pure duplicate from a replay overlap
-        chunk = payload[skip:]
-        self._buf.extend(chunk)
-        self._recv += len(chunk)
-        self._buf_event.set()
-        done = self._fin_at is not None and self._recv >= self._fin_at
-        if done or self._recv - self._last_ack_sent >= ACK_EVERY:
-            await self._send_ack(sock)
-
-    async def _on_fin(self, final: int, sock: LiveSocket) -> None:
-        self._fin_at = final
-        self._buf_event.set()
-        if self._recv >= final:
-            await self._send_ack(sock)
-
-    async def _send_ack(self, sock: LiveSocket) -> None:
-        self._last_ack_sent = self._recv
-        try:
-            await _write_frame(sock, T_ACK, _U64.pack(self._recv))
-        except (ConnectionError, OSError):
-            pass  # the reader will observe the death and recover
-
-    def _on_ack(self, offset: int) -> None:
-        if offset <= self._acked:
-            return
-        self._acked = offset
-        drop = min(offset - self._base, len(self._replay))
-        if drop > 0:
-            del self._replay[:drop]
-            self._base += drop
-        self._ack_event.set()
-
-    # -- resume ------------------------------------------------------------
     async def _recover(self) -> None:
         t0 = time.time()
         last = "exhausted attempts"
         # own span identity, parented on the stage/root span, so the
         # resume shows up as a child in the assembled cross-node tree
         span_ctx = self._ctx.child() if self._ctx is not None else None
-        for attempt in range(self._max_attempts):
-            if self._closed or self._stream_done():
-                self.state = "finished"
-                self._wake_all()
-                return
+        delays = self._retry_policy.delays(f"session:{self.sid:x}")
+        for attempt in range(self._retry_policy.max_attempts):
             if attempt:
-                await asyncio.sleep(self._retry_delay * attempt)
+                await asyncio.sleep(next(delays))
+            if self._core.state != RECOVERING:
+                return
             sock = None
             try:
                 sock = await asyncio.wait_for(
                     self._dial(), timeout=HANDSHAKE_TIMEOUT
                 )
-                await _write_frame(
-                    sock, T_HELLO, self.session_id + _U64.pack(self._recv)
-                )
-                kind, body = await asyncio.wait_for(
-                    _read_frame(sock), timeout=HANDSHAKE_TIMEOUT
-                )
-                if kind != T_HELLO_OK:
-                    raise AsyncSessionError(
-                        f"expected HELLO_OK, got frame type {kind}"
-                    )
-                peer_recv = _U64.unpack(body)[0]
-                replayed = await self._resume_send_path(sock, peer_recv)
-            except (
-                ConnectionError,
-                OSError,
-                EOFError,
-                AsyncSessionError,
-                asyncio.TimeoutError,
-            ) as exc:
+                replayed = await self._open(sock, span_ctx)
+            except (*_LINK_ERRORS, SessionError) as exc:
                 last = f"{type(exc).__name__}: {exc}"
                 if sock is not None and sock is not self._sock:
                     sock.close()
                 continue
-            self.reconnects += 1
-            self.replayed_bytes += replayed
-            reg = obs.metrics()
-            reg.counter(
-                "session.reconnects_total", role=self.role,
-                node=self.node, backend="live",
-            ).inc()
-            reg.counter(
-                "session.replayed_bytes_total", node=self.node, backend="live"
-            ).inc(replayed)
+            self._count_resume(replayed)
             obs.record_span(
                 "session.resume", t0, time.time(), ctx=span_ctx,
                 node=self.node, outcome="ok", attempt=attempt,
@@ -336,37 +327,7 @@ class AsyncSessionLink:
         )
         self._fail(f"resume failed: {last}")
 
-    async def _resume_send_path(self, sock: LiveSocket, peer_recv: int) -> int:
-        """Attach ``sock`` and replay everything the peer is missing."""
-        if peer_recv < self._base or peer_recv > self._sent:
-            raise AsyncSessionError(
-                f"peer wants offset {peer_recv} outside replay window "
-                f"[{self._base}, {self._sent}]"
-            )
-        self._attach(sock)
-        start = peer_recv - self._base
-        pending = bytes(self._replay[start:])
-        offset = peer_recv
-        for i in range(0, len(pending), REPLAY_CHUNK):
-            chunk = pending[i : i + REPLAY_CHUNK]
-            await _write_frame(sock, T_DATA, _U64.pack(offset) + chunk)
-            offset += len(chunk)
-        if self._fin_sent:
-            await _write_frame(sock, T_FIN, _U64.pack(self._final))
-        self.state = "connected"
-        self._ready.set()
-        return len(pending)
-
-    # -- responder-side attach (driven by the listener) --------------------
-    async def _accept_attach(self, sock: LiveSocket) -> None:
-        await _write_frame(sock, T_HELLO_OK, _U64.pack(self._recv))
-        self._attach(sock)
-        self._ready.set()
-        self.state = "connected"
-
-    async def _resume_attach(self, sock: LiveSocket, peer_recv: int) -> None:
-        await _write_frame(sock, T_HELLO_OK, _U64.pack(self._recv))
-        replayed = await self._resume_send_path(sock, peer_recv)
+    def _count_resume(self, replayed: int) -> None:
         self.reconnects += 1
         self.replayed_bytes += replayed
         reg = obs.metrics()
@@ -374,49 +335,38 @@ class AsyncSessionLink:
             "session.reconnects_total", role=self.role,
             node=self.node, backend="live",
         ).inc()
-        if replayed:
-            reg.counter(
-                "session.replayed_bytes_total", node=self.node, backend="live"
-            ).inc(replayed)
-        obs.event(
-            "session.attached", ctx=self._ctx, node=self.node,
-            session=self.session_id.decode("ascii"), replayed=replayed,
-            backend="live",
-        )
+        reg.counter(
+            "session.replayed_bytes_total", node=self.node, backend="live"
+        ).inc(replayed)
 
     # -- the socket API ----------------------------------------------------
     async def send_all(self, data: bytes) -> None:
-        if self._closed or self._fin_sent:
+        core = self._core
+        if self._closed or core.tx_fin is not None:
             raise AsyncSessionError("session closed for sending")
-        if self.state == "failed":
-            raise AsyncSessionError(f"session failed: {self._failure}")
-        offset = self._sent
-        self._replay.extend(data)
-        self._sent += len(data)
-        await self._ready.wait()
-        if self.state == "failed":
-            raise AsyncSessionError(f"session failed: {self._failure}")
-        try:
-            await _write_frame(
-                self._sock, T_DATA, _U64.pack(offset) + bytes(data)
-            )
-        except (ConnectionError, OSError):
-            # the bytes are safe in the replay buffer; resume delivers them
-            self._connection_lost()
+        for start in range(0, len(data), MAX_CHUNK):
+            if core.state != ACTIVE or core.window_full:
+                await self._wait(
+                    lambda: core.state != RECOVERING and not core.window_full
+                    or core.state in (FINISHED, FAILED)
+                )
+                if core.state != ACTIVE:
+                    raise AsyncSessionError(f"session {core.state}: {self._failure}")
+            chunk = bytes(data[start : start + MAX_CHUNK])
+            await self._write(self._sock, core.send(chunk))
 
     async def recv(self, maxbytes: int) -> bytes:
-        while not self._buf:
-            if self._fin_at is not None and self._recv >= self._fin_at:
+        core = self._core
+        while not core.rx:
+            if core.rx_done:
                 return b""
-            if self.state == "failed":
+            if core.state == FAILED:
                 raise EOFError(f"session failed: {self._failure}")
             if self._closed:
                 return b""
-            self._buf_event.clear()
-            await self._buf_event.wait()
-        take = bytes(self._buf[:maxbytes])
-        del self._buf[: len(take)]
-        return take
+            self._changed.clear()
+            await self._changed.wait()
+        return core.take(maxbytes)
 
     async def recv_exactly(self, n: int) -> bytes:
         parts, remaining = [], n
@@ -429,66 +379,55 @@ class AsyncSessionLink:
         return b"".join(parts)
 
     async def aclose(self, timeout: float = 20.0) -> None:
-        """Graceful close: FIN, then wait until the peer acked everything."""
-        if self._closed:
+        """Graceful close: FIN, then wait until the peer FINACKs every byte."""
+        core = self._core
+        if self._closed and core.state != FAILED:
             return
-        if self._sent > 0 or self.role == self.INITIATOR:
-            if not self._fin_sent:
-                self._fin_sent = True
-                self._final = self._sent
-                try:
-                    await self._ready.wait()
-                    await _write_frame(
-                        self._sock, T_FIN, _U64.pack(self._final)
-                    )
-                except (ConnectionError, OSError):
-                    self._connection_lost()
-            deadline = time.monotonic() + timeout
-            while self._acked < self._final and self.state != "failed":
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._teardown()
-                    raise AsyncSessionError(
-                        f"close timed out with {self._final - self._acked} "
-                        "bytes unacked"
-                    )
-                before = self._acked
-                self._ack_event.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._ack_event.wait(),
-                        timeout=min(remaining, ACK_STALL_TIMEOUT),
-                    )
-                except asyncio.TimeoutError:
-                    # no ack progress: a silent drop ate the FIN or the
-                    # tail DATA — force a resume, which replays both
-                    if (
-                        self._acked == before
-                        and self.state == "connected"
-                        and self._sock is not None
-                    ):
-                        self._sock.abort()
-                    continue
-            if self.state == "failed":
+        if core.state != FAILED:
+            core.close()
+            try:
+                await asyncio.wait_for(self._send_fin(), timeout)
+            except asyncio.TimeoutError:
                 self._teardown()
-                raise AsyncSessionError(f"session failed: {self._failure}")
-        self.state = "finished"
-        self._teardown()
+                raise AsyncSessionError(
+                    f"close timed out with {core.replay.size} bytes unacked"
+                ) from None
+        if core.state == FAILED:
+            self._teardown()
+            raise AsyncSessionError(f"session failed: {self._failure}")
+        self._closed = True
+        if self._heartbeat_task is not None:
+            self._heartbeat_task.cancel()
+        self._apply(0)  # done already, or linger for the peer's FIN
+
+    async def _send_fin(self) -> None:
+        core = self._core
+        # FIN on whatever link is current (a resume replays it)
+        while core.state != FAILED and not core.tx_fin_acked:
+            await self._wait(lambda: core.state != RECOVERING)
+            fin = off_frame(FIN, core.tx_fin)
+            if core.state != ACTIVE or await self._write(self._sock, fin):
+                break
+        await self._wait(
+            lambda: core.tx_fin_acked or core.state in (FINISHED, FAILED)
+        )
 
     def _teardown(self) -> None:
         self._closed = True
-        if self._recover_task is not None:
-            self._recover_task.cancel()
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+        if self._core.state != FAILED:
+            self._core.state = FINISHED
+        me = asyncio.current_task()
+        for task in list(self._tasks):
+            if task is not me:
+                task.cancel()
         if self._sock is not None:
             self._sock.close()
-        self._wake_all()
+        self._changed.set()
 
     def close(self) -> None:
         """Sync close (driver-stack compatible): schedules the graceful one."""
         if not self._closed:
-            asyncio.ensure_future(self.aclose())
+            self._spawn(self.aclose())
 
     def abort(self) -> None:
         """Hard kill of the *current transport* (not the session)."""
@@ -497,13 +436,14 @@ class AsyncSessionLink:
 
 
 class AsyncSessionListener:
-    """Accepts session handshakes; routes reconnects to live sessions."""
+    """Accepts session RESUMEs; routes reconnects to live sessions."""
 
     def __init__(self, listener: LiveListener, node: str = "responder"):
         self.listener = listener
         self.node = node
-        self.sessions: dict[bytes, AsyncSessionLink] = {}
+        self.sessions: dict[int, AsyncSessionLink] = {}
         self._accepts: asyncio.Queue = asyncio.Queue()
+        self._handshakes: set = set()
         self._task = asyncio.ensure_future(self._accept_loop())
 
     @property
@@ -517,31 +457,34 @@ class AsyncSessionListener:
     async def _accept_loop(self) -> None:
         while True:
             sock = await self.listener.accept()
-            asyncio.ensure_future(self._handshake(sock))
+            task = asyncio.ensure_future(self._handshake(sock))
+            self._handshakes.add(task)
+            task.add_done_callback(self._handshakes.discard)
 
     async def _handshake(self, sock: LiveSocket) -> None:
         try:
-            kind, body = await _read_frame(sock)
-            if kind != T_HELLO or len(body) != 24:
-                raise AsyncSessionError("expected HELLO")
-            session_id = bytes(body[:16])
-            peer_recv = _U64.unpack(body[16:])[0]
-            link = self.sessions.get(session_id)
-            if link is None:
-                link = AsyncSessionLink(
-                    session_id, AsyncSessionLink.RESPONDER, node=self.node,
-                    ctx=obs.current(),
-                )
-                self.sessions[session_id] = link
-                await link._accept_attach(sock)
-                self._accepts.put_nowait(link)
-            else:
-                await link._resume_attach(sock, peer_recv)
-        except (EOFError, ConnectionError, OSError, AsyncSessionError):
+            resume = await sock.recv_exactly(RESUME_HDR.size + TRACE_SIZE)
+            sid, peer_rx, fin, _ctx = decode_one(resume, RESUME)
+            link = self.sessions.get(sid)
+            if link is not None:
+                await link._accept(sock, resume)
+                return
+            if peer_rx or fin is not None:
+                raise AsyncSessionError(f"RESUME for unknown session {fmt_id(sid)}")
+            link = AsyncSessionLink(
+                sid, AsyncSessionLink.RESPONDER, node=self.node,
+                ctx=obs.current(),
+            )
+            await link._accept(sock, resume)
+            self.sessions[sid] = link
+            self._accepts.put_nowait(link)
+        except (*_LINK_ERRORS, SessionError):
             sock.close()
 
     def close(self) -> None:
         self._task.cancel()
+        for task in list(self._handshakes):
+            task.cancel()
         self.listener.close()
         for link in self.sessions.values():
             link._teardown()

@@ -309,7 +309,7 @@ class TestSessionLink:
 
         def probe():
             while ini.state not in ("finished", "failed"):
-                high_water.append(ini._replay.size)
+                high_water.append(ini._core.replay.size)
                 yield sim.timeout(0.05)
 
         sim.process(probe(), name="test-probe")
@@ -350,18 +350,18 @@ class TestReplayRetune:
         # having its bound grown, never by acknowledgement.
         res_pipe.silent = True
         sim.run(until=1.0)
-        stalled_at = ini._replay.end
-        acked_at = ini._replay.start
-        assert ini._replay.size >= 8192
+        stalled_at = ini._core.replay.end
+        acked_at = ini._core.replay.start
+        assert ini._core.replay.size >= 8192
         sim.run(until=2.0)
-        assert ini._replay.end == stalled_at  # genuinely parked
+        assert ini._core.replay.end == stalled_at  # genuinely parked
         # Grow well past the stalled window (each admitted chunk may
         # overshoot the bound by up to MAX_CHUNK).
-        ini.set_max_buffer(ini._replay.size + 4 * MAX_CHUNK)
+        ini.set_max_buffer(ini._core.replay.size + 4 * MAX_CHUNK)
         sim.run(until=3.0)
         # The grown bound released the sender without any ack arriving.
-        assert ini._replay.start == acked_at
-        assert ini._replay.end > stalled_at
+        assert ini._core.replay.start == acked_at
+        assert ini._core.replay.end > stalled_at
 
     def test_shrink_keeps_buffered_bytes(self):
         sim = Simulator()
@@ -374,10 +374,10 @@ class TestReplayRetune:
 
         sim.process(sender(), name="test-sender")
         sim.run(until=0.2)
-        buffered = ini._replay.size
+        buffered = ini._core.replay.size
         ini.set_max_buffer(4096)
         assert ini.config.max_buffer == 4096
-        assert ini._replay.size == buffered  # nothing dropped
+        assert ini._core.replay.size == buffered  # nothing dropped
         out: dict = {}
 
         def receiver():

@@ -174,7 +174,7 @@ class TestConstructorParity:
         with pytest.raises(ValueError):
             AsyncTcpBlockDriver()
 
-    def test_parallel_links_and_socks_are_aliases(self):
+    def test_parallel_takes_links(self):
         class FakeSock:
             def close(self):
                 pass
@@ -183,12 +183,9 @@ class TestConstructorParity:
 
         async def main():
             by_links = AsyncParallelStreamsDriver(socks, fragment=512)
-            by_socks = AsyncParallelStreamsDriver(socks=socks)
-            assert by_links.links == by_links.socks == socks
-            assert by_socks.links == socks
-            assert by_socks.fragment > 0
+            assert by_links.links == socks
+            assert by_links.fragment == 512
             by_links.close()
-            by_socks.close()
             await asyncio.sleep(0)
 
         run(main())
