@@ -46,31 +46,16 @@ class AsyncDriver:
 
 
 class AsyncTcpBlockDriver(AsyncDriver):
-    """Length-prefixed blocks over one live socket.
-
-    Takes ``link`` like its simulated twin; the old ``sock`` keyword (and
-    attribute) still work.
-    """
+    """Length-prefixed blocks over one live socket (``link``, like its
+    simulated twin)."""
 
     name = "tcp_block"
 
-    def __init__(
-        self,
-        link: Optional[LiveSocket] = None,
-        host=None,
-        *,
-        sock: Optional[LiveSocket] = None,
-    ):
-        if link is None:
-            link = sock
+    def __init__(self, link: Optional[LiveSocket] = None, host=None):
         if link is None:
             raise ValueError("tcp_block driver needs a socket")
         self.link = link
         self.host = host
-
-    @property
-    def sock(self) -> LiveSocket:
-        return self.link
 
     async def send_block(self, block: bytes) -> None:
         await self.link.send_all(struct.pack("!I", len(block)) + block)

@@ -148,7 +148,7 @@ class ClientHandshake:
             sig_s = reader.mpint()
             server_fin = reader.lp_bytes()
             reader.expect_end()
-        except FrameError as exc:
+        except (FrameError, CertificateError) as exc:
             raise HandshakeError(f"malformed ServerHello: {exc}") from exc
 
         # Authenticate the server.
@@ -284,7 +284,7 @@ class ServerHandshake:
             body_len = len(client_finished) - reader.remaining
             fin = reader.lp_bytes()
             reader.expect_end()
-        except FrameError as exc:
+        except (FrameError, CertificateError) as exc:
             raise HandshakeError(f"malformed ClientFinished: {exc}") from exc
 
         if has_cert:

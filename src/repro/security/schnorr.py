@@ -16,13 +16,12 @@ import hashlib
 import hmac
 import secrets
 
-from .dh import GROUP14_G, GROUP14_P, GROUP14_Q
+from .dh import GROUP14_P, GROUP14_Q, g_pow, legendre
 
 __all__ = ["SigningKey", "VerifyKey", "sign", "verify", "SignatureError"]
 
 _P = GROUP14_P
 _Q = GROUP14_Q
-_G = GROUP14_G
 
 
 class SignatureError(Exception):
@@ -54,7 +53,7 @@ def sign(private: int, message: bytes) -> tuple[int, int]:
         int.from_bytes(hmac.new(key_bytes, message, hashlib.sha512).digest(), "big")
         % (_Q - 1)
     ) + 1
-    r = pow(_G, k, _P)
+    r = g_pow(k)
     e = _hash_to_int(_encode_group_element(r), message)
     s = (k + private * e) % _Q
     return e, s
@@ -67,9 +66,20 @@ def verify(public: int, message: bytes, signature: tuple[int, int]) -> bool:
         return False
     if not 1 < public < _P - 1:
         return False
-    # r = g^s / y^e
-    r = (pow(_G, s, _P) * pow(public, _Q - e, _P)) % _P
+    r = _commitment(public, e, s)
     return _hash_to_int(_encode_group_element(r), message) == e
+
+
+def _commitment(public: int, e: int, s: int) -> int:
+    """r = g^s * y^(q-e) mod p, for 1 < y < p-1 and 0 <= e < q.
+
+    Since y^q = (y|p) by Euler's criterion, this is g^s * (y|p) / y^e for
+    every such y, in or out of the subgroup: an exponent the size of e
+    (256 bits for a real signature) and an inverse instead of a
+    full-length power.
+    """
+    r = g_pow(s) * pow(pow(public, e, _P), -1, _P) % _P
+    return _P - r if legendre(public) == -1 else r
 
 
 class SigningKey:
@@ -81,7 +91,7 @@ class SigningKey:
         if not 1 <= private < _Q:
             raise ValueError("private key out of range")
         self.private = private
-        self.verify_key = VerifyKey(pow(_G, private, _P))
+        self.verify_key = VerifyKey(g_pow(private))
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "SigningKey":

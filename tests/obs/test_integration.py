@@ -167,10 +167,8 @@ class TestConstructorParity:
                 pass
 
         sock = FakeSock()
-        by_link = AsyncTcpBlockDriver(sock)
-        by_sock = AsyncTcpBlockDriver(sock=sock)
-        assert by_link.link is by_link.sock is sock
-        assert by_sock.link is by_sock.sock is sock
+        assert AsyncTcpBlockDriver(sock).link is sock
+        assert AsyncTcpBlockDriver(link=sock).link is sock
         with pytest.raises(ValueError):
             AsyncTcpBlockDriver()
 
